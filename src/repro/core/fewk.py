@@ -39,6 +39,7 @@ __all__ = [
     "topk_merge",
     "samplek_merge",
     "interval_sample",
+    "tail_prefix",
 ]
 
 # T_s in Section 4.3: top-k merging turns on for a quantile when the
@@ -120,6 +121,17 @@ class FewKConfig:
             if k_t or k_s:
                 budgets.append(PhiBudget(phi=phi, big_k=big_k, k_t=k_t, k_s=k_s))
         return FewKConfig(budgets=tuple(budgets))
+
+
+def tail_prefix(uniq_asc: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Top-``k`` values (with multiplicity), descending, of the frequency
+    state ``(uniq_asc, counts)``: the fewest top uniques whose cumulative
+    count from the top covers ``k`` (at most ``k`` of them), expanded."""
+    top_uniq, top_counts = uniq_asc[::-1][:k], counts[::-1][:k]
+    covered = np.cumsum(top_counts)
+    k = min(k, int(covered[-1])) if len(covered) else 0
+    m = int(np.searchsorted(covered, k)) + 1
+    return np.repeat(np.asarray(top_uniq[:m], dtype=np.float64), top_counts[:m])[:k]
 
 
 def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray:

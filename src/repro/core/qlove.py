@@ -30,7 +30,21 @@ from repro.core.subwindow import SubWindowBuilder
 from repro.core.summary import SubWindowSummary
 from repro.streams.windows import WindowSpec
 
-__all__ = ["QloveOperator", "window_result"]
+__all__ = ["QloveOperator", "level2_slide", "window_result"]
+
+
+def level2_slide(
+    window: deque[SubWindowSummary], sums: np.ndarray, summary: SubWindowSummary
+) -> SubWindowSummary | None:
+    """One Level-2 slide (Figure 2): deaccumulate the summary expiring from
+    a full ``window`` deque, accumulate ``summary``, updating the per-phi
+    running ``sums`` in place. Returns the expired summary, if any."""
+    expired = window[0] if len(window) == window.maxlen else None
+    if expired is not None:
+        sums -= expired.quantiles  # Level-2 Deaccumulate
+    window.append(summary)
+    sums += summary.quantiles  # Level-2 Accumulate
+    return expired
 
 
 def window_result(
@@ -43,11 +57,12 @@ def window_result(
     """Level-2 ComputeResult + few-k outcome selection (Section 4.3) for one
     window's worth of summaries.
 
-    Shared by the incremental operator (which passes its running-sum
-    ``means``) and the Spark pipeline's driver-side merge (which lets the
-    means be recomputed from the summaries). Per quantile: sample-k result
-    if any member sub-window was flagged bursty, else top-k when enabled
-    (statistical inefficiency), else the plain Level-2 mean.
+    Shared by the incremental operator and the Spark batch pipeline (both
+    pass the running-sum ``means`` of :func:`level2_slide`) and by the
+    streaming handler (which lets the means be recomputed from the
+    summaries). Per quantile: sample-k result if any member sub-window was
+    flagged bursty, else top-k when enabled (statistical inefficiency),
+    else the plain Level-2 mean.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
@@ -139,12 +154,9 @@ class QloveOperator:
         summary = self._builder.finalize()
         if self._burst_phi is not None:
             summary.bursty = self._detector.observe(summary.sample_k[self._burst_phi])
-        if len(self._summaries) == self._summaries.maxlen:
-            expired = self._summaries[0]
-            self._sums -= expired.quantiles  # Level-2 Deaccumulate
+        expired = level2_slide(self._summaries, self._sums, summary)
+        if expired is not None:
             self._summary_space -= expired.space()
-        self._summaries.append(summary)
-        self._sums += summary.quantiles  # Level-2 Accumulate
         self._summary_space += summary.space()
         if len(self._summaries) < self.spec.n_subwindows:
             return None  # window not yet full

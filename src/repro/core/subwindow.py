@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.compression import quantize_sig
-from repro.core.fewk import FewKConfig, interval_sample
+from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
 from repro.core.quantile import exact_quantiles_freq
 from repro.core.summary import SubWindowSummary
 
@@ -126,7 +126,7 @@ class SubWindowBuilder:
         sample_k: dict[float, np.ndarray] = {}
         tail_need = self.fewk.max_tail
         if tail_need > 0:
-            ranked_desc = self._tail_prefix(uniq, counts, tail_need)
+            ranked_desc = tail_prefix(uniq, counts, tail_need)
             for b in self.fewk.budgets:
                 if b.k_t > 0:
                     top_k[b.phi] = ranked_desc[: b.k_t].copy()
@@ -144,17 +144,3 @@ class SubWindowBuilder:
         self._next_sub_id += 1
         self._reset()
         return summary
-
-    @staticmethod
-    def _tail_prefix(uniq_asc: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-        """Top-``k`` values (with multiplicity) of the frequency state,
-        descending — expanded from the largest unique values down."""
-        out = np.empty(min(k, int(counts.sum())), dtype=np.float64)
-        filled = 0
-        for i in range(len(uniq_asc) - 1, -1, -1):
-            take = min(int(counts[i]), len(out) - filled)
-            out[filled : filled + take] = uniq_asc[i]
-            filled += take
-            if filled == len(out):
-                break
-        return out

@@ -5,8 +5,9 @@ DataFrame / Spark SQL API (see DESIGN.md section 3).
     assignment.
   - :mod:`repro.sparklayer.level1` — Level-1 frequency state and summaries
     (``groupBy(sub_id, value).count()`` + ``applyInPandas``).
-  - :mod:`repro.sparklayer.level2` — Level-2 sliding aggregation in Spark SQL.
-  - :mod:`repro.sparklayer.qlove_spark` — end-to-end QLOVE estimates.
+  - :mod:`repro.sparklayer.level2` — SQL reference of the Level-2 mean.
+  - :mod:`repro.sparklayer.qlove_spark` — end-to-end QLOVE estimates
+    (Level 1 in Spark, the kernel's Level 2 on the driver).
   - :mod:`repro.sparklayer.exact_spark` — exact per-window quantiles in Spark.
   - :mod:`repro.sparklayer.streaming` — Structured Streaming stateful QLOVE.
 """

@@ -7,9 +7,9 @@ computed per sub-window with ``applyInPandas`` over that state — one tiny
 pandas group per sub-window, embarrassingly parallel across sub-windows.
 
 The per-group computation reuses the kernel's ``exact_quantiles_freq`` /
-``interval_sample`` so the Spark pipeline is bit-identical to the
-:class:`repro.core.qlove.QloveOperator` results (tested in
-``tests/test_spark_level1.py``).
+``tail_prefix`` / ``interval_sample`` so the Spark pipeline is
+bit-identical to the :class:`repro.core.qlove.QloveOperator` results
+(tested in ``tests/test_spark_level1.py``).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.fewk import FewKConfig, interval_sample
+from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
 from repro.core.quantile import exact_quantiles_freq
 from repro.sparklayer.events import with_quantized_value, with_sub_id
 
@@ -60,19 +60,6 @@ def freq_state(events: DataFrame, period: int, *, sig_digits: int | None = None)
     )
 
 
-def _tail_prefix(uniq_desc: np.ndarray, counts_desc: np.ndarray, k: int) -> np.ndarray:
-    """Top-k values (with multiplicity) from a descending freq state."""
-    out = np.empty(min(k, int(counts_desc.sum())), dtype=np.float64)
-    filled = 0
-    for v, c in zip(uniq_desc, counts_desc):
-        take = min(int(c), len(out) - filled)
-        out[filled : filled + take] = v
-        filled += take
-        if filled == len(out):
-            break
-    return out
-
-
 def subwindow_summaries(
     events: DataFrame,
     period: int,
@@ -97,19 +84,10 @@ def subwindow_summaries(
         order = np.argsort(values)
         values, freqs = values[order], freqs[order]
         quantiles = exact_quantiles_freq(values, freqs, phis)
-        tail_need = cfg.max_tail
-        top_k: list[list[float]] = []
-        sample_k: list[list[float]] = []
-        if tail_need > 0:
-            ranked = _tail_prefix(values[::-1], freqs[::-1], tail_need)
-            for b in cfg.budgets:
-                top_k.append(ranked[: b.k_t].tolist() if b.k_t > 0 else [])
-                sample_k.append(
-                    interval_sample(ranked, b.k_s, b.big_k).tolist() if b.k_s > 0 else []
-                )
-        else:
-            top_k = [[] for _ in cfg.budgets]
-            sample_k = [[] for _ in cfg.budgets]
+        # a disabled cache (k_t or k_s = 0) is an empty list
+        ranked = tail_prefix(values, freqs, cfg.max_tail)
+        top_k = [ranked[: b.k_t].tolist() for b in cfg.budgets]
+        sample_k = [interval_sample(ranked, b.k_s, b.big_k).tolist() for b in cfg.budgets]
         return pd.DataFrame(
             {
                 "sub_id": [int(pdf["sub_id"].iloc[0])],

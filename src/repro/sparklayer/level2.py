@@ -1,4 +1,6 @@
-"""Level-2 sliding aggregation in Spark SQL (Section 3.1, Figure 2).
+"""Level-2 sliding mean in Spark SQL (Section 3.1, Figure 2): the relational
+reference, diffed against DuckDB and the kernel in ``tests/test_spark_level2.py``.
+Production Level 2 is the kernel's, run on the driver by ``qlove_estimates``.
 
 A window is identified by the ``sub_id`` of its *last* sub-window (window
 ``w`` covers sub-windows ``[w - n + 1, w]``). Instead of a range join,

@@ -2,20 +2,20 @@
 
 The heavy, data-parallel part — building per-sub-window summaries over
 millions of events — runs as a Spark dataflow (:mod:`.level1`). What
-remains per window is tiny (``n`` summaries of ``l + k`` floats), so:
-
-  - without few-k merging, Level 2 stays in Spark SQL
-    (:func:`repro.sparklayer.level2.sliding_mean_estimates`);
-  - with few-k merging, the collected summaries (a few KB) are merged on
-    the driver with the *same* kernel code the incremental operator uses
-    (burst detection is inherently sequential over sub-window order — the
-    paper's Level 2 is likewise a "static cost" serial stage).
-
-Results are bit-identical to :class:`repro.core.qlove.QloveOperator`
+remains per window is tiny (``n`` summaries of ``l + k`` floats), so for
+every configuration the summaries are collected and the driver runs the
+kernel's own Level 2 over them: :func:`repro.core.qlove.level2_slide`, the
+sequential burst detector and :func:`repro.core.qlove.window_result` (the
+paper's Level 2 is likewise a "static cost" serial stage). Results are
+bit-identical to :class:`repro.core.qlove.QloveOperator` by construction
 (tested in ``tests/test_spark_qlove.py``).
+
+``sliding_mean_estimates`` is re-exported as the relational reference for
+the Level-2 mean (:mod:`.level2`); it is not on the production path.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -25,13 +25,13 @@ from pyspark.sql import functions as F
 
 from repro.core.burst import BurstDetector
 from repro.core.fewk import FewKConfig
-from repro.core.qlove import window_result
+from repro.core.qlove import level2_slide, window_result
 from repro.core.summary import SubWindowSummary
 from repro.sparklayer.level1 import subwindow_summaries
 from repro.sparklayer.level2 import sliding_mean_estimates
 from repro.streams.windows import WindowSpec
 
-__all__ = ["qlove_estimates", "rows_to_summaries"]
+__all__ = ["qlove_estimates", "rows_to_summaries", "sliding_mean_estimates"]
 
 
 def rows_to_summaries(
@@ -80,7 +80,9 @@ def qlove_estimates(
     """QLOVE estimates per complete window: ``(w, estimates ARRAY<DOUBLE>)``.
 
     ``w`` is the sub_id of the window's last sub-window; ``estimates`` is
-    aligned with ``phis``.
+    aligned with ``phis``. Runs the Level-1 Spark job when called and
+    returns a local DataFrame (empty for a stream shorter than one window).
+    A missing or partial sub-window before the last raises ``RuntimeError``.
     """
     phis = tuple(phis)
     cfg = fewk or FewKConfig()
@@ -89,20 +91,21 @@ def qlove_estimates(
     )
     # A trailing partial sub-window never completes a period, so no query
     # evaluation sees it (count-based windows, Section 2).
-    summaries = summaries.where(F.col("count") == spec.period)
-    if not cfg.budgets:
-        return sliding_mean_estimates(summaries, spec.n_subwindows)
-
-    # Few-k path: driver-side merge over the (tiny) collected summaries.
-    rows = summaries.collect()
-    kernel_summaries = rows_to_summaries(rows, cfg, burst_alpha=burst_alpha)
+    rows = summaries.where(F.col("count") == spec.period).collect()
     n = spec.n_subwindows
+    window: deque[SubWindowSummary] = deque(maxlen=n)
+    sums = np.zeros(len(phis), dtype=np.float64)
     records = []
-    for i in range(n - 1, len(kernel_summaries)):
-        window = kernel_summaries[i - n + 1 : i + 1]
-        if [s.sub_id for s in window] != list(range(i - n + 1, i + 1)):
-            raise RuntimeError("non-contiguous sub-window ids in summaries")
-        res = window_result(window, phis, cfg)
-        records.append((i, [res[p] for p in phis]))
+    for i, s in enumerate(rows_to_summaries(rows, cfg, burst_alpha=burst_alpha)):
+        if s.sub_id != i:
+            raise RuntimeError(
+                f"non-contiguous sub-window ids in summaries: sub_id {i} is missing"
+            )
+        level2_slide(window, sums, s)
+        if len(window) == n:
+            res = window_result(list(window), phis, cfg, means=sums / n)
+            records.append((i, [res[p] for p in phis]))
+    # From pandas (Arrow) the result is a local relation; from a list of
+    # tuples every later action would run a Python RDD job.
     pdf = pd.DataFrame(records, columns=["w", "estimates"])
     return spark.createDataFrame(pdf, schema="w BIGINT, estimates ARRAY<DOUBLE>")

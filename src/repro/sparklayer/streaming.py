@@ -35,11 +35,10 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import BinaryType, StructField, StructType
 
 from repro.core.burst import mann_whitney_u
-from repro.core.fewk import FewKConfig, interval_sample
+from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
 from repro.core.qlove import window_result
 from repro.core.quantile import exact_quantiles_freq
 from repro.core.summary import SubWindowSummary
-from repro.sparklayer.level1 import _tail_prefix
 from repro.streams.windows import WindowSpec
 
 __all__ = ["qlove_streaming", "OUTPUT_SCHEMA", "STATE_SCHEMA"]
@@ -65,7 +64,7 @@ def _finalize_subwindow(
         "sample_k": {},
     }
     if cfg.max_tail > 0:
-        ranked = _tail_prefix(uniq[::-1], counts[::-1], cfg.max_tail)
+        ranked = tail_prefix(uniq, counts, cfg.max_tail)
         for b in cfg.budgets:
             if b.k_t > 0:
                 summary["top_k"][b.phi] = ranked[: b.k_t].copy()

@@ -10,6 +10,7 @@ from repro.core.fewk import (
     PhiBudget,
     interval_sample,
     samplek_merge,
+    tail_prefix,
     topk_merge,
 )
 from repro.core.quantile import exact_quantiles, kth_largest_count
@@ -95,6 +96,38 @@ class TestIntervalSample:
         ranked = np.sort(np.random.default_rng(0).random(big_k))[::-1]
         out = interval_sample(ranked, k_s, big_k)
         assert 1 <= len(out) <= min(k_s, big_k)
+
+
+class TestTailPrefix:
+    UNIQ = np.array([1.0, 2.0, 5.0, 7.0])
+    COUNTS = np.array([3, 1, 4, 2])
+
+    def test_zero_k(self):
+        out = tail_prefix(self.UNIQ, self.COUNTS, 0)
+        assert out.dtype == np.float64 and len(out) == 0
+
+    def test_k_above_count_returns_everything(self):
+        out = tail_prefix(self.UNIQ, self.COUNTS, 100)
+        np.testing.assert_array_equal(out, [7, 7, 5, 5, 5, 5, 2, 1, 1, 1])
+
+    def test_ties_straddling_k(self):
+        # the run of four 5.0s crosses k = 4: two of them make the cut
+        np.testing.assert_array_equal(
+            tail_prefix(self.UNIQ, self.COUNTS, 4), [7, 7, 5, 5]
+        )
+
+    def test_empty_state(self):
+        assert len(tail_prefix(np.empty(0), np.empty(0, dtype=np.int64), 5)) == 0
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=100)
+    def test_matches_expanded_sort(self, counts, k):
+        uniq = np.arange(len(counts), dtype=np.float64) * 0.5
+        want = np.repeat(uniq, counts)[::-1][:k]
+        np.testing.assert_array_equal(tail_prefix(uniq, np.array(counts), k), want)
 
 
 class TestTopkMerge:

@@ -30,13 +30,21 @@ def _kernel_results(stream, spec, phis, **kw):
     return QloveOperator(spec, phis, **kw).observe_chunk(stream)
 
 
+def _fewk(enabled: bool) -> FewKConfig | None:
+    if not enabled:
+        return None
+    return FewKConfig.from_fraction(
+        window_size=SPEC.size, period=SPEC.period, phis=[0.999], sample_fraction=0.5
+    )
+
+
 class TestQloveEstimates:
     def test_plain_matches_kernel(self, spark, events, stream):
         rows = qlove_estimates(spark, events, SPEC, PHIS).orderBy("w").collect()
         kernel = _kernel_results(stream, SPEC, PHIS)
         assert len(rows) == len(kernel)
         for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+            np.testing.assert_array_equal(row.estimates, [res[p] for p in PHIS])
 
     def test_fewk_topk_matches_kernel(self, spark, events, stream):
         cfg = FewKConfig.from_fraction(
@@ -47,7 +55,7 @@ class TestQloveEstimates:
         )
         kernel = _kernel_results(stream, SPEC, PHIS, fewk=cfg)
         for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+            np.testing.assert_array_equal(row.estimates, [res[p] for p in PHIS])
 
     def test_fewk_samplek_with_burst_matches_kernel(self, spark, stream):
         bursty = inject_burst(
@@ -63,7 +71,7 @@ class TestQloveEstimates:
         kernel = _kernel_results(bursty, SPEC, PHIS, fewk=cfg)
         assert len(rows) == len(kernel)
         for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+            np.testing.assert_array_equal(row.estimates, [res[p] for p in PHIS])
 
     def test_quantized_matches_kernel(self, spark, events, stream):
         rows = (
@@ -73,13 +81,27 @@ class TestQloveEstimates:
         )
         kernel = _kernel_results(stream, SPEC, PHIS, sig_digits=3)
         for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+            np.testing.assert_array_equal(row.estimates, [res[p] for p in PHIS])
 
     def test_trailing_partial_subwindow_dropped(self, spark):
         stream = netmon(4_500, seed=4)  # 4.5 sub-windows
         events = telemetry_events(spark, stream)
         rows = qlove_estimates(spark, events, SPEC, PHIS).collect()
         assert len(rows) == SPEC.n_evaluations(4_500) == 1
+
+    @pytest.mark.parametrize("fewk", [False, True], ids=["plain", "fewk"])
+    def test_missing_subwindow_raises(self, spark, events, fewk):
+        # sub-window 2 keeps only half its events, so it never completes
+        gapped = events.where(~F.col("seq").between(2_000, 2_499))
+        with pytest.raises(RuntimeError, match="sub_id 2 is missing"):
+            qlove_estimates(spark, gapped, SPEC, PHIS, fewk=_fewk(fewk))
+
+    @pytest.mark.parametrize("fewk", [False, True], ids=["plain", "fewk"])
+    def test_stream_shorter_than_window_is_empty(self, spark, fewk):
+        events = telemetry_events(spark, netmon(3_500, seed=4))
+        df = qlove_estimates(spark, events, SPEC, PHIS, fewk=_fewk(fewk))
+        assert df.columns == ["w", "estimates"]
+        assert df.collect() == []
 
 
 class TestExactSpark:
