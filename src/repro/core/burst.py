@@ -13,10 +13,14 @@ form of the test, adequate for the sample sizes few-k produces (>= ~8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult"]
+from repro.core.fewk import FewKConfig
+from repro.core.summary import SubWindowSummary
+
+__all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult", "flag_bursts"]
 
 # Normal-approximation one-sided critical values for common alphas.
 _Z = {0.10: 1.2816, 0.05: 1.6449, 0.025: 1.9600, 0.01: 2.3263, 0.005: 2.5758}
@@ -94,3 +98,18 @@ class BurstDetector:
         if prev is None or len(prev) == 0 or len(samples) == 0:
             return False
         return mann_whitney_u(samples, prev, alpha=self.alpha).greater
+
+
+def flag_bursts(
+    summaries: Sequence[SubWindowSummary], fewk: FewKConfig, alpha: float = 0.01
+) -> None:
+    """Set ``.bursty`` on every summary of a ``sub_id``-contiguous run, in
+    order, through one :class:`BurstDetector` on the samples of
+    ``fewk.burst_phi``. The first summary has no predecessor in the run and
+    is never flagged. A no-op without sample-k."""
+    phi = fewk.burst_phi
+    if phi is None:
+        return
+    detector = BurstDetector(alpha=alpha)
+    for s in summaries:
+        s.bursty = detector.observe(s.sample_k[phi])

@@ -89,6 +89,12 @@ class FewKConfig:
             m = max(m, b.k_t, b.big_k if b.k_s > 0 else 0)
         return m
 
+    @property
+    def burst_phi(self) -> float | None:
+        """The phi whose samples feed the burst test: the highest phi that
+        keeps sample-k samples (Section 4.3), or None without sample-k."""
+        return max((b.phi for b in self.budgets if b.k_s > 0), default=None)
+
     @staticmethod
     def from_fraction(
         *,

@@ -84,11 +84,10 @@ def window_result(
 class QloveOperator:
     """QLOVE sliding-window quantile estimator.
 
-    Drive it either per element (:meth:`observe`) or per sub-window chunk
-    (:meth:`observe_chunk`); both paths cross the same period boundaries and
-    produce identical results. A completed evaluation (window full) is
-    returned as ``{phi: estimate}`` from the call that crossed the boundary,
-    else ``None``.
+    Drive it with chunks of any length (:meth:`observe_chunk`; a chunk of
+    one is the per-element path). Every completed evaluation (window full)
+    is returned as ``{phi: estimate}`` by the call whose chunk crossed its
+    period boundary.
     """
 
     name = "QLOVE"
@@ -119,19 +118,9 @@ class QloveOperator:
         # large windows (n = 1000 sub-windows at a 1M/1K query).
         self._summary_space = 0
         self._detector = BurstDetector(alpha=burst_alpha)
-        # Detect bursts on the samples of the highest phi that keeps samples.
-        self._burst_phi = max(
-            (b.phi for b in self.fewk.budgets if b.k_s > 0), default=None
-        )
+        self._burst_phi = self.fewk.burst_phi
 
     # ------------------------------------------------------------------ #
-    def observe(self, value: float) -> dict[float, float] | None:
-        """Accumulate one element; returns estimates at period boundaries."""
-        self._builder.accumulate(value)
-        if self._builder.in_flight_count == self.spec.period:
-            return self._complete_subwindow()
-        return None
-
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
         """Accumulate a batch (any length); returns estimates for every
         period boundary the batch crossed."""

@@ -1,14 +1,15 @@
 """Level-1 tumbling sub-window builder (Algorithm 1).
 
 Maintains the in-flight sub-window's frequency-compressed state
-``{value -> count}`` and, on sub-window completion, computes the exact
-phi-quantiles plus the raw-tail caches few-k merging needs. The paper keeps
-the state in a red-black tree to stay sorted under per-element inserts; in
-Python a hash map plus one sort at ``ComputeResult`` has the same
-per-unique-value asymptotics (O(u log u) per sub-window vs O(P log u)
-amortized) and the identical output, so that is what we use. A vectorized
-``accumulate_chunk`` (np.unique) serves the high-throughput path; both paths
-produce bit-identical states.
+``{value -> count}`` and, on sub-window completion, hands it to
+:func:`summarize`, which computes the exact phi-quantiles plus the raw-tail
+caches few-k merging needs. ``summarize`` is the one summary builder of
+every layer: the kernel, the Spark Level-1 UDF and the streaming handler
+all call it. The paper keeps the state in a red-black tree to stay sorted
+under per-element inserts; in Python a hash map plus one sort at
+``ComputeResult`` has the same per-unique-value asymptotics (O(u log u) per
+sub-window vs O(P log u) amortized) and the identical output, so that is
+what we use.
 """
 from __future__ import annotations
 
@@ -21,7 +22,36 @@ from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
 from repro.core.quantile import exact_quantiles_freq
 from repro.core.summary import SubWindowSummary
 
-__all__ = ["SubWindowBuilder"]
+__all__ = ["SubWindowBuilder", "summarize"]
+
+
+def summarize(
+    sub_id: int,
+    uniq: np.ndarray,
+    counts: np.ndarray,
+    phis: Sequence[float],
+    fewk: FewKConfig,
+) -> SubWindowSummary:
+    """Summary of one completed sub-window from its frequency state:
+    ascending unique values ``uniq`` with their ``counts``. Exact
+    phi-quantiles plus, per few-k budget, the top-``k_t`` cache and the
+    ``k_s`` interval samples of the top-``K`` values."""
+    top_k: dict[float, np.ndarray] = {}
+    sample_k: dict[float, np.ndarray] = {}
+    if fewk.max_tail > 0:
+        ranked_desc = tail_prefix(uniq, counts, fewk.max_tail)
+        for b in fewk.budgets:
+            if b.k_t > 0:
+                top_k[b.phi] = ranked_desc[: b.k_t].copy()
+            if b.k_s > 0:
+                sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
+    return SubWindowSummary(
+        sub_id=sub_id,
+        count=int(counts.sum()),
+        quantiles=exact_quantiles_freq(uniq, counts, phis),
+        top_k=top_k,
+        sample_k=sample_k,
+    )
 
 
 class SubWindowBuilder:
@@ -72,16 +102,9 @@ class SubWindowBuilder:
         self._count = 0
 
     # -- Accumulate -------------------------------------------------------
-    def accumulate(self, value: float) -> None:
-        """Per-element Accumulate of Algorithm 1 (with optional quantization)."""
-        if self.sig_digits is not None:
-            value = float(quantize_sig(np.array([value]), self.sig_digits)[0])
-        self._freq[value] = self._freq.get(value, 0) + 1
-        self._count += 1
-
     def accumulate_chunk(self, values: np.ndarray) -> None:
-        """Vectorized Accumulate over a batch of values (same final state
-        as the per-element path)."""
+        """Accumulate of Algorithm 1 over a batch of values (with optional
+        quantization); a batch of one is the per-element Accumulate."""
         values = np.asarray(values, dtype=np.float64)
         if self.sig_digits is not None:
             values = quantize_sig(values, self.sig_digits)
@@ -120,26 +143,7 @@ class SubWindowBuilder:
         if self._count == 0:
             raise ValueError("finalize() on an empty sub-window")
         uniq, counts = self._compressed_state()
-        quantiles = exact_quantiles_freq(uniq, counts, self.phis)
-
-        top_k: dict[float, np.ndarray] = {}
-        sample_k: dict[float, np.ndarray] = {}
-        tail_need = self.fewk.max_tail
-        if tail_need > 0:
-            ranked_desc = tail_prefix(uniq, counts, tail_need)
-            for b in self.fewk.budgets:
-                if b.k_t > 0:
-                    top_k[b.phi] = ranked_desc[: b.k_t].copy()
-                if b.k_s > 0:
-                    sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
-
-        summary = SubWindowSummary(
-            sub_id=self._next_sub_id,
-            count=self._count,
-            quantiles=quantiles,
-            top_k=top_k,
-            sample_k=sample_k,
-        )
+        summary = summarize(self._next_sub_id, uniq, counts, self.phis, self.fewk)
         self.last_unique = len(uniq)
         self._next_sub_id += 1
         self._reset()

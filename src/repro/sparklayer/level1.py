@@ -6,10 +6,13 @@ Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
 computed per sub-window with ``applyInPandas`` over that state — one tiny
 pandas group per sub-window, embarrassingly parallel across sub-windows.
 
-The per-group computation reuses the kernel's ``exact_quantiles_freq`` /
-``tail_prefix`` / ``interval_sample`` so the Spark pipeline is
+The per-group computation is the kernel's own
+:func:`repro.core.subwindow.summarize`, so the Spark pipeline is
 bit-identical to the :class:`repro.core.qlove.QloveOperator` results
-(tested in ``tests/test_spark_level1.py``).
+(tested in ``tests/test_spark_level1.py``). This module owns the summary
+row format (:data:`SUMMARY_SCHEMA`): the UDF encodes it and
+:func:`rows_to_summaries` decodes collected rows back into kernel
+summaries.
 """
 from __future__ import annotations
 
@@ -27,11 +30,12 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
-from repro.core.quantile import exact_quantiles_freq
+from repro.core.fewk import FewKConfig
+from repro.core.subwindow import summarize
+from repro.core.summary import SubWindowSummary
 from repro.sparklayer.events import with_quantized_value, with_sub_id
 
-__all__ = ["freq_state", "subwindow_summaries", "SUMMARY_SCHEMA"]
+__all__ = ["freq_state", "subwindow_summaries", "rows_to_summaries", "SUMMARY_SCHEMA"]
 
 SUMMARY_SCHEMA = StructType(
     [
@@ -43,6 +47,35 @@ SUMMARY_SCHEMA = StructType(
         StructField("sample_k", ArrayType(ArrayType(DoubleType(), False), False), False),
     ]
 )
+
+
+def _budget_lists(caches: "dict[float, np.ndarray]", fewk: FewKConfig) -> list:
+    """Per-phi caches -> budget-aligned lists (a disabled cache is [])."""
+    return [caches[b.phi].tolist() if b.phi in caches else [] for b in fewk.budgets]
+
+
+def _budget_caches(lists: list, fewk: FewKConfig) -> "dict[float, np.ndarray]":
+    """Inverse of :func:`_budget_lists`."""
+    return {
+        b.phi: np.asarray(v, dtype=np.float64)
+        for b, v in zip(fewk.budgets, lists)
+        if len(v)
+    }
+
+
+def rows_to_summaries(rows: list, fewk: FewKConfig) -> list[SubWindowSummary]:
+    """Decode collected :data:`SUMMARY_SCHEMA` rows into kernel summaries,
+    sorted by ``sub_id``."""
+    return [
+        SubWindowSummary(
+            sub_id=int(row.sub_id),
+            count=int(row["count"]),
+            quantiles=np.asarray(row.quantiles, dtype=np.float64),
+            top_k=_budget_caches(row.top_k, fewk),
+            sample_k=_budget_caches(row.sample_k, fewk),
+        )
+        for row in sorted(rows, key=lambda r: r.sub_id)
+    ]
 
 
 def freq_state(events: DataFrame, period: int, *, sig_digits: int | None = None) -> DataFrame:
@@ -78,24 +111,19 @@ def subwindow_summaries(
     cfg = fewk or FewKConfig()
     state = freq_state(events, period, sig_digits=sig_digits)
 
-    def summarize(pdf: pd.DataFrame) -> pd.DataFrame:
+    def summarize_group(pdf: pd.DataFrame) -> pd.DataFrame:
         values = pdf["value"].to_numpy(dtype=np.float64)
         freqs = pdf["freq"].to_numpy(dtype=np.int64)
         order = np.argsort(values)
-        values, freqs = values[order], freqs[order]
-        quantiles = exact_quantiles_freq(values, freqs, phis)
-        # a disabled cache (k_t or k_s = 0) is an empty list
-        ranked = tail_prefix(values, freqs, cfg.max_tail)
-        top_k = [ranked[: b.k_t].tolist() for b in cfg.budgets]
-        sample_k = [interval_sample(ranked, b.k_s, b.big_k).tolist() for b in cfg.budgets]
+        s = summarize(int(pdf["sub_id"].iloc[0]), values[order], freqs[order], phis, cfg)
         return pd.DataFrame(
             {
-                "sub_id": [int(pdf["sub_id"].iloc[0])],
-                "count": [int(freqs.sum())],
-                "quantiles": [quantiles.tolist()],
-                "top_k": [top_k],
-                "sample_k": [sample_k],
+                "sub_id": [s.sub_id],
+                "count": [s.count],
+                "quantiles": [s.quantiles.tolist()],
+                "top_k": [_budget_lists(s.top_k, cfg)],
+                "sample_k": [_budget_lists(s.sample_k, cfg)],
             }
         )
 
-    return state.groupBy("sub_id").applyInPandas(summarize, SUMMARY_SCHEMA)
+    return state.groupBy("sub_id").applyInPandas(summarize_group, SUMMARY_SCHEMA)

@@ -4,14 +4,16 @@ The heavy, data-parallel part — building per-sub-window summaries over
 millions of events — runs as a Spark dataflow (:mod:`.level1`). What
 remains per window is tiny (``n`` summaries of ``l + k`` floats), so for
 every configuration the summaries are collected and the driver runs the
-kernel's own Level 2 over them: :func:`repro.core.qlove.level2_slide`, the
-sequential burst detector and :func:`repro.core.qlove.window_result` (the
-paper's Level 2 is likewise a "static cost" serial stage). Results are
-bit-identical to :class:`repro.core.qlove.QloveOperator` by construction
-(tested in ``tests/test_spark_qlove.py``).
+kernel's own Level 2 over them: :func:`repro.core.burst.flag_bursts`,
+:func:`repro.core.qlove.level2_slide` and
+:func:`repro.core.qlove.window_result` (the paper's Level 2 is likewise a
+"static cost" serial stage). Results are bit-identical to
+:class:`repro.core.qlove.QloveOperator` by construction (tested in
+``tests/test_spark_qlove.py``).
 
 ``sliding_mean_estimates`` is re-exported as the relational reference for
 the Level-2 mean (:mod:`.level2`); it is not on the production path.
+``rows_to_summaries`` is the Level-1 row decoder of :mod:`.level1`.
 """
 from __future__ import annotations
 
@@ -23,48 +25,15 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.burst import BurstDetector
+from repro.core.burst import flag_bursts
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import level2_slide, window_result
 from repro.core.summary import SubWindowSummary
-from repro.sparklayer.level1 import subwindow_summaries
+from repro.sparklayer.level1 import rows_to_summaries, subwindow_summaries
 from repro.sparklayer.level2 import sliding_mean_estimates
 from repro.streams.windows import WindowSpec
 
 __all__ = ["qlove_estimates", "rows_to_summaries", "sliding_mean_estimates"]
-
-
-def rows_to_summaries(
-    rows: "list", fewk: FewKConfig, *, burst_alpha: float = 0.01
-) -> list[SubWindowSummary]:
-    """Rebuild kernel summaries from collected Level-1 rows (sorted by
-    sub_id) and run the sequential burst detector over them."""
-    budget_phis = [b.phi for b in fewk.budgets]
-    burst_phi = max((b.phi for b in fewk.budgets if b.k_s > 0), default=None)
-    detector = BurstDetector(alpha=burst_alpha)
-    out: list[SubWindowSummary] = []
-    for row in sorted(rows, key=lambda r: r.sub_id):
-        top_k = {
-            phi: np.asarray(row.top_k[i], dtype=np.float64)
-            for i, phi in enumerate(budget_phis)
-            if len(row.top_k[i])
-        }
-        sample_k = {
-            phi: np.asarray(row.sample_k[i], dtype=np.float64)
-            for i, phi in enumerate(budget_phis)
-            if len(row.sample_k[i])
-        }
-        s = SubWindowSummary(
-            sub_id=int(row.sub_id),
-            count=int(row["count"]),
-            quantiles=np.asarray(row.quantiles, dtype=np.float64),
-            top_k=top_k,
-            sample_k=sample_k,
-        )
-        if burst_phi is not None:
-            s.bursty = detector.observe(s.sample_k.get(burst_phi, np.empty(0)))
-        out.append(s)
-    return out
 
 
 def qlove_estimates(
@@ -92,19 +61,22 @@ def qlove_estimates(
     # A trailing partial sub-window never completes a period, so no query
     # evaluation sees it (count-based windows, Section 2).
     rows = summaries.where(F.col("count") == spec.period).collect()
-    n = spec.n_subwindows
-    window: deque[SubWindowSummary] = deque(maxlen=n)
-    sums = np.zeros(len(phis), dtype=np.float64)
-    records = []
-    for i, s in enumerate(rows_to_summaries(rows, cfg, burst_alpha=burst_alpha)):
+    run = rows_to_summaries(rows, cfg)
+    for i, s in enumerate(run):
         if s.sub_id != i:
             raise RuntimeError(
                 f"non-contiguous sub-window ids in summaries: sub_id {i} is missing"
             )
+    flag_bursts(run, cfg, burst_alpha)
+    n = spec.n_subwindows
+    window: deque[SubWindowSummary] = deque(maxlen=n)
+    sums = np.zeros(len(phis), dtype=np.float64)
+    records = []
+    for s in run:
         level2_slide(window, sums, s)
         if len(window) == n:
             res = window_result(list(window), phis, cfg, means=sums / n)
-            records.append((i, [res[p] for p in phis]))
+            records.append((s.sub_id, [res[p] for p in phis]))
     # From pandas (Arrow) the result is a local relation; from a list of
     # tuples every later action would run a Python RDD job.
     pdf = pd.DataFrame(records, columns=["w", "estimates"])

@@ -9,12 +9,20 @@ Structured Streaming stateful aggregation": events arrive as a stream of
   - the completed sub-windows' tiny summaries (quantiles + few-k caches) —
 
 and emits one output row per *completed window* with the QLOVE estimates.
-The handler is order-insensitive at sub-window granularity (summaries are
-keyed by ``sub_id`` and a window is emitted once all of its member
-summaries exist), so out-of-order micro-batch delivery — which the file
-source does not forbid — cannot corrupt results. Burst flags are derived
-at emission time from the stored adjacent sub-window samples, exactly as
-the sequential kernel detector does.
+Summaries come from the kernel's :func:`repro.core.subwindow.summarize`,
+burst flags from :func:`repro.core.burst.flag_bursts` and the estimates
+from :func:`repro.core.qlove.window_result`.
+
+Delivery order. Summaries are keyed by ``sub_id``. Window ``w`` is emitted
+once its ``n`` members exist and, with burst detection on, sub-window
+``w - n`` too, whose samples the first member's burst flag is tested
+against. Whole sub-windows may arrive in any order (the file source does
+not forbid it); windows may then be emitted out of order, so each window's
+mean is recomputed from its members. Late or duplicate events, for a
+sub-window already summarized or pruned, are dropped; an in-flight
+sub-window with more than ``period`` events raises ``RuntimeError``.
+Duplicates that keep an in-flight sub-window at or below ``period`` events
+go undetected: the state keeps no per-event record.
 
 State is held as one pickled binary column: the state is an arbitrary
 nested dict (freq maps, numpy arrays) and serializing it wholesale keeps
@@ -34,10 +42,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import BinaryType, StructField, StructType
 
-from repro.core.burst import mann_whitney_u
-from repro.core.fewk import FewKConfig, interval_sample, tail_prefix
+from repro.core.burst import flag_bursts
+from repro.core.fewk import FewKConfig
 from repro.core.qlove import window_result
-from repro.core.quantile import exact_quantiles_freq
+from repro.core.subwindow import summarize
 from repro.core.summary import SubWindowSummary
 from repro.streams.windows import WindowSpec
 
@@ -49,28 +57,9 @@ OUTPUT_SCHEMA = (
 STATE_SCHEMA = StructType([StructField("blob", BinaryType(), True)])
 
 
-def _finalize_subwindow(
-    freq: "dict[float, int]", phis: tuple, cfg: FewKConfig
-) -> dict[str, Any]:
-    """Freq state -> stored summary dict (quantiles + per-phi tail caches)."""
-    uniq = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
-    counts = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
-    order = np.argsort(uniq)
-    uniq, counts = uniq[order], counts[order]
-    summary: dict[str, Any] = {
-        "count": int(counts.sum()),
-        "quantiles": exact_quantiles_freq(uniq, counts, phis),
-        "top_k": {},
-        "sample_k": {},
-    }
-    if cfg.max_tail > 0:
-        ranked = tail_prefix(uniq, counts, cfg.max_tail)
-        for b in cfg.budgets:
-            if b.k_t > 0:
-                summary["top_k"][b.phi] = ranked[: b.k_t].copy()
-            if b.k_s > 0:
-                summary["sample_k"][b.phi] = interval_sample(ranked, b.k_s, b.big_k)
-    return summary
+# Summary fields kept in the state blob; sub_id is the dict key and the
+# burst flag is recomputed per window.
+_STORED = ("count", "quantiles", "top_k", "sample_k")
 
 
 def _emit_ready_windows(
@@ -78,35 +67,19 @@ def _emit_ready_windows(
 ) -> list[tuple[int, list[float]]]:
     """Emit every complete, not-yet-emitted window; prune expired state."""
     n = spec.n_subwindows
-    burst_phi = max((b.phi for b in cfg.budgets if b.k_s > 0), default=None)
     summaries = st["summaries"]
     results = []
     for w in sorted(summaries):
         if w < max(st["frontier"], n - 1) or w in st["emitted"]:
             continue
-        member_ids = range(w - n + 1, w + 1)
-        if not all(s in summaries for s in member_ids):
+        # the first member's burst flag needs its predecessor's samples
+        first = w - n if cfg.burst_phi is not None and w >= n else w - n + 1
+        run_ids = range(first, w + 1)
+        if not all(s in summaries for s in run_ids):
             continue
-        window = []
-        for s_id in member_ids:
-            s = summaries[s_id]
-            bursty = False
-            if burst_phi is not None and s_id - 1 in summaries:
-                prev = summaries[s_id - 1]["sample_k"].get(burst_phi)
-                cur = s["sample_k"].get(burst_phi)
-                if prev is not None and cur is not None:
-                    bursty = mann_whitney_u(cur, prev, alpha=burst_alpha).greater
-            window.append(
-                SubWindowSummary(
-                    sub_id=s_id,
-                    count=s["count"],
-                    quantiles=s["quantiles"],
-                    top_k=s["top_k"],
-                    sample_k=s["sample_k"],
-                    bursty=bursty,
-                )
-            )
-        res = window_result(window, phis, cfg)
+        run = [SubWindowSummary(sub_id=s, **summaries[s]) for s in run_ids]
+        flag_bursts(run, cfg, burst_alpha)
+        res = window_result(run[-n:], phis, cfg)
         results.append((w, [res[p] for p in phis]))
         st["emitted"].add(w)
     # Prune via the monotone frontier = smallest window id not yet emitted.
@@ -155,18 +128,27 @@ def make_handler(
 
                 values = quantize_sig(values, sig_digits)
             sub_ids = seq // spec.period
-            for s_id in np.unique(sub_ids):
+            for s_id in np.unique(sub_ids).tolist():
+                if s_id in st["summaries"] or s_id < st["frontier"] - spec.n_subwindows:
+                    continue  # late or duplicate: already summarized or pruned
                 chunk = values[sub_ids == s_id]
-                entry = st["inflight"].setdefault(int(s_id), {"freq": {}, "count": 0})
+                entry = st["inflight"].setdefault(s_id, {"freq": {}, "count": 0})
                 uniq, counts = np.unique(chunk, return_counts=True)
                 for v, c in zip(uniq.tolist(), counts.tolist()):
                     entry["freq"][v] = entry["freq"].get(v, 0) + c
                 entry["count"] += len(chunk)
-                if entry["count"] == spec.period:
-                    st["summaries"][int(s_id)] = _finalize_subwindow(
-                        entry["freq"], phis, cfg
+                if entry["count"] > spec.period:
+                    raise RuntimeError(
+                        f"sub-window {s_id} received {entry['count']} events, "
+                        f"more than its period {spec.period}"
                     )
-                    del st["inflight"][int(s_id)]
+                if entry["count"] == spec.period:
+                    freq = st["inflight"].pop(s_id)["freq"]
+                    uniq = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
+                    counts = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
+                    order = np.argsort(uniq)
+                    s = summarize(s_id, uniq[order], counts[order], phis, cfg)
+                    st["summaries"][s_id] = {f: getattr(s, f) for f in _STORED}
         results = _emit_ready_windows(st, spec, phis, cfg, burst_alpha)
         state.update((pickle.dumps(st),))
         if results:

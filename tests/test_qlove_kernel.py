@@ -50,10 +50,8 @@ class TestLevel2Mean:
         op1 = QloveOperator(spec, PHIS)
         op2 = QloveOperator(spec, PHIS)
         r1 = []
-        for v in stream:
-            res = op1.observe(float(v))
-            if res is not None:
-                r1.append(res)
+        for i in range(len(stream)):
+            r1.extend(op1.observe_chunk(stream[i : i + 1]))
         r2 = op2.observe_chunk(stream)
         assert r1 == r2
 

@@ -2,12 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
 from repro.sparklayer.streaming import make_handler, qlove_streaming
 from repro.streams.windows import WindowSpec
-from repro.synth_data import inject_burst, netmon
+from repro.synth_data import inject_burst, netmon, search
 
 PHIS = (0.5, 0.9, 0.99)
 SPEC = WindowSpec(size=2_000, period=500)
@@ -193,3 +195,123 @@ class TestHandlerUnit:
         # bounded state: at most ~n summaries + 1 burst-neighbour retained
         assert len(st["summaries"]) <= SPEC.n_subwindows + 1
         assert len(st["inflight"]) == 0
+
+    def _run(self, handler, state, stream, spans):
+        got = {}
+        for lo, hi in spans:
+            for o in self._feed(handler, state, stream, lo, hi):
+                got.update((int(w), est) for w, est in zip(o["w"], o["estimates"]))
+        return got
+
+    def _assert_matches_kernel(self, got, stream, **kw):
+        kernel = QloveOperator(SPEC, PHIS, **kw).observe_chunk(stream)
+        assert sorted(got) == list(range(3, 3 + len(kernel)))
+        for i, res in enumerate(kernel):
+            np.testing.assert_array_equal(got[3 + i], [res[p] for p in PHIS])
+
+    def test_out_of_order_burst_waits_for_predecessor(self):
+        # Window 4's first member (sub-window 1) is bursty against
+        # sub-window 0, which arrives after sub-windows 1-4.
+        stream = netmon(3_000, seed=5)
+        sub = stream[500:1_000]
+        sub[np.argsort(sub)[-40:]] *= 10
+        cfg = FewKConfig.from_fraction(
+            window_size=SPEC.size, period=SPEC.period, phis=[0.99], sample_fraction=0.5
+        )
+        handler = make_handler(SPEC, PHIS, fewk=cfg)
+        order = [1, 2, 3, 4, 0, 5]
+        got = self._run(
+            handler, self._FakeState(), stream, [(s * 500, s * 500 + 500) for s in order]
+        )
+        self._assert_matches_kernel(got, stream, fewk=cfg)
+
+    def test_late_events_dropped_not_held(self):
+        import pickle
+
+        stream = netmon(6_000, seed=8)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        spans = [(lo, lo + 500) for lo in range(0, 3_000, 500)]
+        # replay half of pruned sub-window 0 and of summarized sub-window 5
+        spans += [(0, 250), (2_500, 2_750)]
+        spans += [(lo, lo + 500) for lo in range(3_000, 6_000, 500)]
+        got = self._run(handler, state, stream, spans)
+        self._assert_matches_kernel(got, stream)
+        assert pickle.loads(bytes(state.get[0]))["inflight"] == {}
+
+    def test_redelivered_subwindow_keeps_first_summary(self):
+        stream = netmon(6_000, seed=9)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        self._run(handler, state, stream, [(lo, lo + 500) for lo in range(0, 3_000, 500)])
+        replay = stream.copy()
+        replay[1_500:2_000] *= 10
+        self._run(handler, state, replay, [(1_500, 2_000)])
+        got = self._run(handler, state, stream, [(lo, lo + 500) for lo in range(3_000, 6_000, 500)])
+        kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
+        assert sorted(got) == list(range(6, 12))
+        for w in got:
+            np.testing.assert_array_equal(got[w], [kernel[w - 3][p] for p in PHIS])
+
+    def test_overfull_subwindow_raises(self):
+        stream = netmon(1_000, seed=10)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        self._feed(handler, state, stream, 0, 250)
+        with pytest.raises(RuntimeError, match="sub-window 0 received 750 events"):
+            self._feed(handler, state, stream, 0, 500)
+
+
+@st.composite
+def _handler_cases(draw):
+    """A window spec, phi set, few-k budget, integer-valued stream (one
+    sub-window optionally scaled 10x, a burst) and its delivery: whole
+    sub-windows in a drawn order, cut into micro-batches at drawn points."""
+    n = draw(st.integers(1, 4))
+    period = draw(st.integers(50, 400))
+    n_subs = n + draw(st.integers(1, 3))
+    spec = WindowSpec(size=n * period, period=period)
+    phis = tuple(sorted(draw(st.sets(st.sampled_from([0.5, 0.9, 0.99]), min_size=1))))
+    fewk = FewKConfig.from_fraction(
+        window_size=spec.size,
+        period=period,
+        phis=draw(st.lists(st.sampled_from(phis), unique=True, min_size=1)),
+        top_fraction=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        sample_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    gen = draw(st.sampled_from([netmon, search]))
+    stream = gen(n_subs * period, seed=draw(st.integers(0, 2**16)))
+    # 0: no burst (sub-window 0 has no predecessor to burst against)
+    burst = draw(st.integers(0, n_subs - 1))
+    if burst:
+        stream[burst * period : (burst + 1) * period] *= 10
+    order = draw(st.permutations(range(n_subs)))
+    delivery = np.concatenate([np.arange(s * period, (s + 1) * period) for s in order])
+    # cuts at sub-window boundaries make single sub-windows arrive alone
+    boundary = st.integers(1, n_subs - 1).map(lambda k: k * period)
+    cuts = draw(st.sets(boundary | st.integers(1, len(delivery) - 1), max_size=2 * n_subs))
+    return spec, phis, fewk, stream, np.split(delivery, sorted(cuts))
+
+
+class TestHandlerMatchesKernel:
+    """Cross-layer property: the streaming handler, driven directly under
+    any sub-window delivery order and micro-batch split, emits exactly the
+    kernel operator's estimates. Integer-valued streams keep both Level-2
+    means (running sums vs. a per-window mean) exact."""
+
+    @given(_handler_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_kernel(self, case):
+        spec, phis, fewk, stream, batches = case
+        handler = make_handler(spec, phis, fewk=fewk)
+        state = TestHandlerUnit._FakeState()
+        got = {}
+        for seq in batches:
+            pdf = pd.DataFrame({"seq": seq, "value": stream[seq]})
+            for o in handler(("s0",), iter([pdf]), state):
+                got.update((int(w), est) for w, est in zip(o["w"], o["estimates"]))
+        kernel = QloveOperator(spec, phis, fewk=fewk).observe_chunk(stream)
+        first_w = spec.n_subwindows - 1
+        assert sorted(got) == list(range(first_w, first_w + len(kernel)))
+        for i, res in enumerate(kernel):
+            np.testing.assert_array_equal(got[first_w + i], [res[p] for p in phis])

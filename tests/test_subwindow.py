@@ -16,8 +16,8 @@ class TestAccumulate:
         g = np.random.default_rng(0)
         values = np.rint(g.normal(1000, 100, 500))
         b1, b2 = _builder(), _builder()
-        for v in values:
-            b1.accumulate(float(v))
+        for i in range(len(values)):
+            b1.accumulate_chunk(values[i : i + 1])
         b2.accumulate_chunk(values)
         s1, s2 = b1.finalize(), b2.finalize()
         assert s1.count == s2.count == 500
@@ -31,8 +31,8 @@ class TestAccumulate:
 
     def test_quantization_applied(self):
         b = _builder(sig_digits=2)
-        b.accumulate(74_265.0)
-        b.accumulate(74_123.0)  # both quantize to 74,000
+        b.accumulate_chunk(np.array([74_265.0]))
+        b.accumulate_chunk(np.array([74_123.0]))  # both quantize to 74,000
         assert b.in_flight_unique == 1
 
     def test_tree_mode_matches_lazy(self):
@@ -53,8 +53,8 @@ class TestAccumulate:
         g = np.random.default_rng(1)
         values = g.random(200) * 10_000
         b1, b2 = _builder(sig_digits=3), _builder(sig_digits=3)
-        for v in values:
-            b1.accumulate(float(v))
+        for i in range(len(values)):
+            b1.accumulate_chunk(values[i : i + 1])
         b2.accumulate_chunk(values)
         np.testing.assert_array_equal(b1.finalize().quantiles, b2.finalize().quantiles)
 
